@@ -36,8 +36,8 @@ int main() {
     metrics::Table table({"Method", "final acc", "best acc", "final loss",
                           "acc@epoch4 (early)"});
     const std::pair<const char*, core::AggregatorFactory> methods[] = {
-        {"S-SGD", core::MakeSsgdFactory()},
-        {"Power-SGD", core::MakePowerSgdFactory(4)},
+        {"S-SGD", core::MakeAggregatorFactory("ssgd")},
+        {"Power-SGD", core::MakeAggregatorFactory("powersgd:4")},
         {"ACP-SGD", core::MakeAcpSgdFactory(4)},
     };
     for (const auto& [name, factory] : methods) {

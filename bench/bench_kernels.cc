@@ -233,8 +233,7 @@ std::vector<Case> BuildCases() {
                      const size_t d = 25'000'000;
                      const double ratio = 0.001;
                      const auto g = RandomVec(d, 10);
-                     acps::compress::TopkCompressor topk(
-                         ratio, acps::compress::TopkSelection::kSampledThreshold);
+                     acps::compress::TopkCompressor topk(ratio);
                      std::vector<std::byte> blob(topk.EncodedBytes(d));
                      const size_t k = topk.KeptCount(d);
                      CaseResult r;

@@ -33,22 +33,25 @@ void BM_SignEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_SignEncode)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_TopkEncodeExact(benchmark::State& state) {
+// The definitional exact selection (nth_element), the reference the
+// sampled encode below avoids.
+void BM_TopkSelectExact(benchmark::State& state) {
   bench::OracleGate("topk:0.001");
   const auto g = Grad(static_cast<size_t>(state.range(0)));
-  compress::TopkCompressor c(0.001, compress::TopkSelection::kExact);
+  compress::TopkCompressor c(0.001);
+  const size_t k = c.KeptCount(g.size());
   for (auto _ : state) {
-    auto blob = c.Encode(g);
-    benchmark::DoNotOptimize(blob.data());
+    auto idx = c.SelectExact(g, k);
+    benchmark::DoNotOptimize(idx.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_TopkEncodeExact)->Arg(1 << 16);
+BENCHMARK(BM_TopkSelectExact)->Arg(1 << 16);
 
 void BM_TopkEncodeSampled(benchmark::State& state) {
-  bench::OracleGate("topk-sampled:0.001");
+  bench::OracleGate("topk:0.001");
   const auto g = Grad(static_cast<size_t>(state.range(0)));
-  compress::TopkCompressor c(0.001, compress::TopkSelection::kSampledThreshold);
+  compress::TopkCompressor c(0.001);
   for (auto _ : state) {
     auto blob = c.Encode(g);
     benchmark::DoNotOptimize(blob.data());

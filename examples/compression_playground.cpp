@@ -5,13 +5,8 @@
 #include <cstdio>
 
 #include "compress/acpsgd.h"
-#include "compress/fp16.h"
 #include "compress/powersgd.h"
-#include "compress/qsgd.h"
-#include "compress/randomk.h"
-#include "compress/sign.h"
-#include "compress/terngrad.h"
-#include "compress/topk.h"
+#include "compress/registry.h"
 #include "metrics/table.h"
 #include "tensor/rng.h"
 
@@ -51,20 +46,14 @@ int main() {
 
   metrics::Table table({"Compressor", "wire KB", "ratio", "rel. error"});
   const auto numel = static_cast<size_t>(grad.numel());
-  std::vector<std::unique_ptr<compress::Compressor>> compressors;
-  compressors.push_back(std::make_unique<compress::Fp16Compressor>());
-  compressors.push_back(std::make_unique<compress::SignCompressor>());
-  compressors.push_back(std::make_unique<compress::QsgdCompressor>(16));
-  compressors.push_back(std::make_unique<compress::TernGradCompressor>());
-  compressors.push_back(std::make_unique<compress::TopkCompressor>(0.01));
-  compressors.push_back(std::make_unique<compress::TopkCompressor>(
-      0.001, compress::TopkSelection::kSampledThreshold));
-  compressors.push_back(std::make_unique<compress::RandomkCompressor>(0.01));
   std::vector<float> out(numel);
-  for (const auto& c : compressors) {
+  for (const char* spec : {"fp16", "sign", "blockwise-sign:1024", "qsgd:16",
+                           "terngrad", "topk:0.01", "topk:0.001",
+                           "randomk:0.01"}) {
+    const auto c = compress::MakeCompressor(spec);
     const auto blob = c->Encode(grad.data());
     c->Decode(blob, out);
-    table.AddRow({c->name(), metrics::Table::Num(blob.size() / 1024.0, 1),
+    table.AddRow({spec, metrics::Table::Num(blob.size() / 1024.0, 1),
                   metrics::Table::Num(c->CompressionRatio(numel), 0) + "x",
                   metrics::Table::Num(RelError(grad.data(), out), 3)});
   }

@@ -1,5 +1,5 @@
 // Schedule explorer: drives every collective kind (and the GradReducer WFBP
-// pipeline) through ThreadGroup runs under a ScheduleController, and checks
+// pipeline) through Session runs under a ScheduleController, and checks
 // schedule-independence oracles after each run:
 //
 //   1. the run completes without exception (no contract violation, no

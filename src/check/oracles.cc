@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "comm/communicator.h"
-#include "compress/error_feedback.h"
+#include "comm/group_ops.h"
+#include "compress/aggregation.h"
 #include "compress/registry.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
@@ -126,32 +127,29 @@ void CheckEfConservation(const std::string& spec, int64_t numel,
   }
 }
 
-// --- Oracle 4: compressed all-reduce is bitwise rank-invariant. ------------
+// --- Oracle 4: compressed aggregation is bitwise rank-invariant. -----------
 //
-// The generic compressed aggregation path: every rank encodes its own
-// gradient, blobs travel a ring all-gather, every rank decodes all p blobs
-// and averages them in rank order. Inputs, the encode, and the fixed-order
-// average are deterministic, so every rank must end bit-identical to a
-// single-threaded reference — no matter how the schedule explorer perturbs
-// the ring.
+// Every rank runs the trainer's compressed-aggregation pipeline
+// (compress::CompressedAggregation) on its own gradient. Inputs, encodes and
+// the rank-ordered merge are deterministic, so every rank must end
+// bit-identical to a single-threaded reference — the compressor's Merge over
+// the rank-ordered blobs — no matter how the schedule explorer perturbs the
+// collectives. The session runs the naive all-reduce, which folds ranks in
+// rank order, so the additive wire shape matches that reference exactly too.
 void CheckRankInvariance(const std::string& spec, int64_t numel,
                          const OracleOptions& opt, OracleReport& report) {
   const int p = opt.world_size;
 
   // Single-threaded reference.
-  std::vector<float> reference(static_cast<size_t>(numel), 0.0f);
+  std::vector<float> reference(static_cast<size_t>(numel));
   {
-    std::vector<float> decoded(static_cast<size_t>(numel));
-    for (int r = 0; r < p; ++r) {
-      auto compressor = compress::MakeCompressor(spec);
-      const auto g = GradData(opt.seed, numel, r, 0);
-      const auto blob = compressor->Encode(g);
-      compressor->Decode(blob, decoded);
-      for (int64_t i = 0; i < numel; ++i)
-        reference[static_cast<size_t>(i)] += decoded[static_cast<size_t>(i)];
-    }
-    const float inv = 1.0f / static_cast<float>(p);
-    for (float& v : reference) v *= inv;
+    std::vector<std::vector<std::byte>> blobs;
+    for (int r = 0; r < p; ++r)
+      blobs.push_back(compress::MakeCompressor(spec)->Encode(
+          GradData(opt.seed, numel, r, 0)));
+    const std::vector<std::span<const std::byte>> views(blobs.begin(),
+                                                        blobs.end());
+    compress::MakeCompressor(spec)->Merge(views, reference);
   }
 
   const auto run_once = [&](ScheduleController* controller,
@@ -160,32 +158,21 @@ void CheckRankInvariance(const std::string& spec, int64_t numel,
     std::string error;
     {
       comm::Transport transport;
-      comm::Session group(transport, "", p);
+      comm::Session group(
+          transport, "", p,
+          comm::SessionOptions{.algo = comm::AllReduceAlgo::kNaive});
       group.set_contract_checking(true);
       ScopedSchedListener install(controller);
       try {
         group.Run([&](comm::Communicator& comm) {
           const int r = comm.rank();
-          auto compressor = compress::MakeCompressor(spec);
-          const auto g = GradData(opt.seed, numel, r, 0);
-          std::vector<std::byte> blob(compressor->EncodedBytes(g.size()));
-          compressor->EncodeInto(g, blob);
-          std::vector<std::byte> gathered(blob.size() *
-                                          static_cast<size_t>(p));
-          comm.all_gather_bytes(blob, gathered);
-          std::vector<float> acc(static_cast<size_t>(numel), 0.0f);
-          std::vector<float> decoded(static_cast<size_t>(numel));
-          for (int s = 0; s < p; ++s) {
-            compressor->Decode(
-                std::span<const std::byte>(gathered)
-                    .subspan(static_cast<size_t>(s) * blob.size(), blob.size()),
-                decoded);
-            for (int64_t i = 0; i < numel; ++i)
-              acc[static_cast<size_t>(i)] += decoded[static_cast<size_t>(i)];
-          }
-          const float inv = 1.0f / static_cast<float>(p);
-          for (float& v : acc) v *= inv;
-          results[static_cast<size_t>(r)] = std::move(acc);
+          compress::CompressedAggregation pipeline(
+              compress::MakeCompressor(spec));
+          Tensor grad = Tensor::FromSpan(Shape{numel},
+                                         GradData(opt.seed, numel, r, 0));
+          pipeline.Aggregate(/*tensor_id=*/0, grad, comm::GroupOpsOf(comm));
+          results[static_cast<size_t>(r)].assign(grad.data().begin(),
+                                                 grad.data().end());
         });
       } catch (const std::exception& e) {
         error = e.what();
@@ -194,7 +181,7 @@ void CheckRankInvariance(const std::string& spec, int64_t numel,
     ++report.checks_run;
     if (!error.empty()) {
       AddFailure(report, spec, "rank-invariance", numel, seed,
-                 "compressed all-reduce threw: " + error);
+                 "compressed aggregation threw: " + error);
       return false;
     }
     for (int r = 0; r < p; ++r) {
@@ -271,7 +258,7 @@ OracleReport CheckCompressorInvariants(const std::string& spec,
     CheckDecodeDeterminism(spec, numel, opt, report);
     CheckEfConservation(spec, numel, opt, report);
   }
-  // Rank-invariance is the expensive oracle (real ThreadGroup runs under the
+  // Rank-invariance is the expensive oracle (real Session runs under the
   // explorer); run it on a representative small and large shape.
   const std::vector<int64_t> comm_numels = {opt.numels.front(),
                                             opt.numels.back()};
@@ -350,7 +337,7 @@ std::vector<float> RunKernelSuite(uint64_t seed) {
   sign.Decode(sign_blob, sign_dec);
   emit(sign_dec);
 
-  compress::TopkCompressor topk(0.01, compress::TopkSelection::kSampledThreshold);
+  compress::TopkCompressor topk(0.01);
   const auto topk_blob = topk.Encode(t.data());
   std::vector<float> topk_dec(static_cast<size_t>(n));
   topk.Decode(topk_blob, topk_dec);

@@ -10,12 +10,12 @@
 //                        reconstructs the compressor input within a
 //                        per-compressor float tolerance (mass conservation
 //                        of the EF loop, DESIGN.md tolerance table).
-//   rank-invariance      the compressed all-reduce path (encode → gather →
-//                        decode-all → fixed-order average) produces bitwise
-//                        identical results on every rank, matching a
-//                        single-threaded reference — checked clean AND under
-//                        the schedule explorer's perturbation, so comm
-//                        nondeterminism is covered too.
+//   rank-invariance      the trainer's compressed-aggregation pipeline
+//                        (compress::CompressedAggregation) produces bitwise
+//                        identical results on every rank, matching the
+//                        compressor's Merge over the rank-ordered blobs —
+//                        checked clean AND under the schedule explorer's
+//                        perturbation, so comm nondeterminism is covered too.
 //
 // Failures carry compressor name, tensor shape, seed, and the violated
 // property, so a red run is immediately reproducible.

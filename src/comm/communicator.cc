@@ -24,7 +24,7 @@ int Mod(int x, int p) { return ((x % p) + p) % p; }
 // FNV-1a over the payload, seeded with the sequence number and the owning
 // session's envelope salt: a stale message whose bytes happen to match still
 // fails validation if its seq was forged, and a chunk sealed under another
-// session never validates here. salt == 0 (the anonymous legacy session)
+// session never validates here. salt == 0 (the anonymous session)
 // reproduces the pre-session checksum bit for bit.
 uint32_t EnvelopeChecksum(std::span<const std::byte> bytes, uint64_t seq,
                           uint64_t salt) noexcept {
@@ -104,7 +104,7 @@ Communicator::Communicator(detail::GroupState* state, int rank, int world_size,
       collective_seq_(resume_seq), generation_(generation) {
   if (metrics_ != nullptr) {
     // Resolve the session-namespaced fault counters once; the prefix is ""
-    // for the anonymous legacy session, so the historical flat names
+    // for the anonymous session, so the historical flat names
     // (`fault.crash.ranks`, ...) are preserved there.
     const std::string& pre = state_->metric_prefix;
     ctr_crash_ranks_ = &metrics_->counter(pre + "fault.crash.ranks");
@@ -720,57 +720,5 @@ void Communicator::broadcast(std::span<float> data, int root) {
                  std::copy(incoming.begin(), incoming.end(), data.begin());
                });
 }
-
-// The shim's own member definitions must keep compiling after the class is
-// [[deprecated]]; callers elsewhere still get the warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-ThreadGroup::ThreadGroup(int world_size, int64_t barrier_timeout_ms)
-    : transport_(TransportOptions{.barrier_timeout_ms = barrier_timeout_ms}),
-      session_(std::make_unique<Session>(transport_, /*job_id=*/"",
-                                         world_size)) {}
-
-ThreadGroup::~ThreadGroup() = default;
-
-int ThreadGroup::world_size() const noexcept { return session_->world_size(); }
-
-void ThreadGroup::set_contract_checking(bool on) noexcept {
-  session_->set_contract_checking(on);
-}
-
-bool ThreadGroup::contract_checking() const noexcept {
-  return session_->contract_checking();
-}
-
-void ThreadGroup::set_tracer(obs::Tracer* tracer) noexcept {
-  transport_.set_tracer(tracer);
-}
-
-obs::Tracer* ThreadGroup::tracer() const noexcept {
-  return transport_.tracer();
-}
-
-void ThreadGroup::set_metrics(obs::MetricsRegistry* metrics) noexcept {
-  transport_.set_metrics(metrics);
-}
-
-obs::MetricsRegistry* ThreadGroup::metrics() const noexcept {
-  return transport_.metrics();
-}
-
-void ThreadGroup::Run(const std::function<void(Communicator&)>& fn) {
-  session_->Run(fn);
-}
-
-const std::vector<int>& ThreadGroup::crashed_ranks() const noexcept {
-  return session_->crashed_ranks();
-}
-
-TrafficStats ThreadGroup::total_stats() const {
-  return session_->total_stats();
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace acps::comm

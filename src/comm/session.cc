@@ -107,8 +107,7 @@ void Session::Run(const std::function<void(Communicator&)>& fn) {
   last_run_stats_.assign(static_cast<size_t>(capacity_), TrafficStats{});
   detail::GroupState* st = state_.get();
   // Observability attachment is sampled per Run so set_tracer/set_metrics
-  // on the transport take effect for the next job step, like the old
-  // ThreadGroup contract.
+  // on the transport take effect for the next job step.
   st->tracer = transport_->tracer();
   st->metrics = transport_->metrics();
   // Reset barrier, error, membership, mailbox, and contract state: an

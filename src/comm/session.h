@@ -7,8 +7,7 @@
 // collective configuration (SessionOptions), and — optionally — a
 // tenant-scoped fault injector, so chaos plans aimed at this job cannot
 // leak into any other tenant. N sessions run concurrently over one
-// transport; each Session::Run spawns the job's worker threads exactly the
-// way the old single-tenant ThreadGroup did.
+// transport; each Session::Run spawns the job's worker threads.
 //
 // Lifetime: the Transport must outlive every Session opened on it, and a
 // Session must outlive its Run calls. Sessions are not thread-safe objects
@@ -38,10 +37,11 @@ struct SessionOptions {
   // Fusion-buffer budget for aggregators built for this session, in bytes.
   // 0 means "library default" (fusion::kDefaultBufferBytes, 25 MiB).
   int64_t fusion_bytes = 0;
-  // Aggregation method for core::TrainingService jobs, parsed by
-  // core::MakeAggregatorFactory: "ssgd", "acpsgd[:rank]", "powersgd[:rank]",
-  // "sign", "topk[:ratio]", "randomk[:ratio]". Structural validation (known
-  // name, parameter range) happens in core, which owns the registry; here
+  // Aggregation method for core::TrainingService jobs: any spec of the
+  // registry (compress/registry.h), e.g. "ssgd", "acpsgd:4", "topk:0.001",
+  // "qsgd:16". The compressor decides how its blobs aggregate (wire shape,
+  // merge, error feedback). Structural validation (known name, parameter
+  // range) happens when core::MakeAggregatorFactory parses the spec; here
   // only emptiness is rejected.
   std::string compressor_spec = "ssgd";
 

@@ -50,7 +50,7 @@ enum class ReduceOp { kSum, kMax };
 // (reduce-scatter + all-gather, 2*(p-1)/p * N per worker); kNaive is the
 // flat reduce-to-root + broadcast reference (O(p*N)). kSessionDefault (the
 // per-call default) resolves to the session's configured algorithm
-// (SessionOptions::algo; kRing for the legacy ThreadGroup shim), so callers
+// (SessionOptions::algo, kRing by default), so callers
 // normally do not thread an algorithm through every collective.
 enum class AllReduceAlgo { kRing, kNaive, kSessionDefault };
 

@@ -20,6 +20,8 @@ class BlockwiseSignCompressor final : public Compressor {
   void Decode(std::span<const std::byte> blob,
               std::span<float> out) const override;
 
+  [[nodiscard]] bool biased() const override { return true; }
+
   [[nodiscard]] size_t EncodedBytes(size_t numel) const override;
 
   [[nodiscard]] size_t block_size() const noexcept { return block_size_; }

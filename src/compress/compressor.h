@@ -5,9 +5,12 @@
 // Low-rank methods (Power-SGD, ACP-SGD) are stateful per-tensor algorithms
 // and live in powersgd.h / acpsgd.h instead.
 //
-// Encode/Decode are lossy: Decode(Encode(g)) approximates g. Aggregation
-// semantics (all-gather + majority vote / scatter-add) are implemented by
-// the core runtime on top of these primitives.
+// Encode/Decode are lossy: Decode(Encode(g)) approximates g. Each
+// compressor also owns its aggregation semantics (paper §III-C): its wire
+// shape (additive payload on an all-reduce, or the packed blob on an
+// all-gather), its merge over the gathered blobs, and whether error
+// feedback applies. compress/aggregation.h runs that one pipeline for
+// every compressor.
 //
 // The primitive encode operation is zero-copy: EncodeInto writes the blob
 // into caller-owned storage of exactly EncodedBytes(|grad|) bytes, so hot
@@ -18,6 +21,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -26,6 +30,22 @@
 #include "tensor/check.h"
 
 namespace acps::compress {
+
+// Averages `data` element-wise across all workers (all-reduce sum / p).
+using AllReduceMeanFn = std::function<void(std::span<float>)>;
+
+// How the blobs of a group travel and combine.
+enum class WireShape : uint8_t {
+  // Equal-shape blobs are additive: the AdditivePayload floats ride an
+  // in-place all-reduce and a 1/alive scale, and Decode of the reduced blob
+  // is the group mean.
+  kAdditive,
+  // Blobs are not additive: one all-gather of the packed blob, then Merge.
+  kGathered,
+};
+
+// Blobs of the alive ranks, in ascending rank order.
+using BlobList = std::span<const std::span<const std::byte>>;
 
 class Compressor {
  public:
@@ -56,6 +76,25 @@ class Compressor {
   // implementations in this library).
   [[nodiscard]] virtual size_t EncodedBytes(size_t numel) const = 0;
 
+  [[nodiscard]] virtual WireShape wire_shape() const {
+    return WireShape::kGathered;
+  }
+
+  // The float values of an additive blob, aliased in place (kAdditive
+  // compressors only).
+  [[nodiscard]] virtual std::span<float> AdditivePayload(
+      std::span<std::byte> blob) const;
+
+  // Combines gathered blobs (one per alive rank, rank order) into the group
+  // estimate of the mean gradient. Default: decode each blob and average.
+  virtual void Merge(BlobList blobs, std::span<float> out) const;
+
+  // True when the reconstruction is biased (deterministic dropping or
+  // rounding): error feedback applies and restores the dropped mass. The
+  // stochastic-rounding quantizers are unbiased and run without it; with
+  // EF, qsgd:16 diverges on vgg-mini.
+  [[nodiscard]] virtual bool biased() const = 0;
+
   // Compression ratio = uncompressed bytes / encoded bytes.
   [[nodiscard]] double CompressionRatio(size_t numel) const {
     const size_t enc = EncodedBytes(numel);
@@ -68,14 +107,7 @@ class Compressor {
 // Little-endian scalar (de)serialization helpers shared by the encoders.
 namespace wire {
 
-template <typename T>
-void Append(std::vector<std::byte>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-// Fixed-position write into a preallocated blob (the EncodeInto analogue of
-// Append).
+// Fixed-position write into a preallocated blob.
 template <typename T>
 void Write(std::span<std::byte> out, size_t offset, const T& value) {
   ACPS_CHECK_MSG(offset + sizeof(T) <= out.size(), "wire write out of range");

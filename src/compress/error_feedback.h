@@ -35,8 +35,6 @@ class ErrorFeedback {
 
   [[nodiscard]] size_t num_tensors() const noexcept { return residuals_.size(); }
 
-  void clear() { residuals_.clear(); }
-
  private:
   std::unordered_map<int64_t, Tensor> residuals_;
 };

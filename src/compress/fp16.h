@@ -22,6 +22,8 @@ class Fp16Compressor final : public Compressor {
   void Decode(std::span<const std::byte> blob,
               std::span<float> out) const override;
 
+  [[nodiscard]] bool biased() const override { return true; }
+
   [[nodiscard]] size_t EncodedBytes(size_t numel) const override {
     return sizeof(uint64_t) + numel * sizeof(uint16_t);
   }

@@ -20,14 +20,12 @@
 #include <functional>
 #include <unordered_map>
 
+#include "compress/compressor.h"  // AllReduceMeanFn
 #include "linalg/orthogonalize.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
 namespace acps::compress {
-
-// Averages `data` element-wise across all workers (all-reduce sum / p).
-using AllReduceMeanFn = std::function<void(std::span<float>)>;
 
 struct PowerSgdConfig {
   int64_t rank = 4;

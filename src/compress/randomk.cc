@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "tensor/rng.h"
 
@@ -11,18 +12,27 @@ namespace {
 constexpr size_t kHeaderBytes = 3 * sizeof(uint64_t);  // seed, k, numel
 
 // Samples k distinct indices in [0, n) via a partial Fisher–Yates walk,
-// deterministic in `seed`.
+// deterministic in `seed`. The walk over the identity pool is kept sparse:
+// `moved` holds only the positions a swap has touched (O(k) entries, no
+// O(n) pool), and the Rng draws are those of the textbook walk over a full
+// pool, so the index sequence equals it.
 std::vector<uint32_t> SampleIndices(uint64_t seed, size_t k, size_t n) {
   ACPS_CHECK(k <= n);
   Rng rng(seed);
-  std::vector<uint32_t> pool(n);
-  for (size_t i = 0; i < n; ++i) pool[i] = static_cast<uint32_t>(i);
+  std::unordered_map<size_t, uint32_t> moved;
+  moved.reserve(k);
+  const auto at = [&moved](size_t pos) {
+    const auto it = moved.find(pos);
+    return it == moved.end() ? static_cast<uint32_t>(pos) : it->second;
+  };
+  std::vector<uint32_t> idx(k);
   for (size_t i = 0; i < k; ++i) {
     const size_t j = i + static_cast<size_t>(rng.next_below(n - i));
-    std::swap(pool[i], pool[j]);
+    // swap(pool[i], pool[j]); position i is never read again.
+    idx[i] = at(j);
+    moved[j] = at(i);
   }
-  pool.resize(k);
-  return pool;
+  return idx;
 }
 
 }  // namespace
@@ -87,21 +97,17 @@ void RandomkCompressor::Decode(std::span<const std::byte> blob,
   }
 }
 
-std::vector<std::byte> RandomkCompressor::Add(std::span<const std::byte> a,
-                                              std::span<const std::byte> b) {
-  ACPS_CHECK_MSG(a.size() == b.size(), "Randomk::Add blob size mismatch");
-  for (size_t off = 0; off < kHeaderBytes; off += sizeof(uint64_t)) {
-    ACPS_CHECK_MSG(wire::Read<uint64_t>(a, off) == wire::Read<uint64_t>(b, off),
-                   "Randomk::Add requires identical (seed, k, numel)");
-  }
-  std::vector<std::byte> out(a.begin(), a.end());
-  const auto k = wire::Read<uint64_t>(a, sizeof(uint64_t));
-  for (size_t j = 0; j < k; ++j) {
-    const size_t off = kHeaderBytes + j * sizeof(float);
-    const float sum = wire::Read<float>(a, off) + wire::Read<float>(b, off);
-    std::memcpy(out.data() + off, &sum, sizeof(float));
-  }
-  return out;
+std::span<float> RandomkCompressor::AdditivePayload(
+    std::span<std::byte> blob) const {
+  const auto k = wire::Read<uint64_t>(blob, sizeof(uint64_t));
+  // The payload is handed straight to an in-place all-reduce; an
+  // under-sized blob would let the reduction scribble past the buffer.
+  ACPS_CHECK_MSG(blob.size() == kHeaderBytes + k * sizeof(float),
+                 "Random-k blob of " << blob.size() << " B cannot hold k=" << k
+                                     << " values after the " << kHeaderBytes
+                                     << " B header");
+  return {reinterpret_cast<float*>(blob.data() + kHeaderBytes),
+          static_cast<size_t>(k)};
 }
 
 }  // namespace acps::compress

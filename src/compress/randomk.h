@@ -3,8 +3,9 @@
 // Keeps k uniformly chosen coordinates. When all workers share the seed for
 // a given (tensor, step), the selected coordinates coincide, which — unlike
 // Top-k — makes the compressed vectors additive and therefore all-reduce
-// compatible. Encode stores only [seed][k][numel][values...]: the index set
-// is re-derived from the seed on decode.
+// compatible: its wire shape is kAdditive, the value payload riding an
+// in-place all-reduce. Encode stores only [seed][k][numel][values...]: the
+// index set is re-derived from the seed on decode.
 #pragma once
 
 #include "compress/compressor.h"
@@ -30,14 +31,22 @@ class RandomkCompressor final : public Compressor {
 
   [[nodiscard]] size_t KeptCount(size_t numel) const;
 
-  // Recomputes the index set encoded by `blob` (seed-derived).
+  [[nodiscard]] bool biased() const override { return true; }
+
+  [[nodiscard]] WireShape wire_shape() const override {
+    return WireShape::kAdditive;
+  }
+
+  // The k values after the header; blobs with identical (seed, k, numel)
+  // add element-wise.
+  [[nodiscard]] std::span<float> AdditivePayload(
+      std::span<std::byte> blob) const override;
+
+  // Recomputes the index set encoded by `blob` (seed-derived): k distinct
+  // indices from a partial Fisher–Yates walk over [0, numel) that keeps
+  // only the O(k) swapped positions.
   [[nodiscard]] static std::vector<uint32_t> IndicesOf(
       std::span<const std::byte> blob);
-
-  // Sums the value payloads of two blobs with identical (seed, k, numel);
-  // the additive property that enables all-reduce.
-  [[nodiscard]] static std::vector<std::byte> Add(
-      std::span<const std::byte> a, std::span<const std::byte> b);
 
  private:
   double ratio_;

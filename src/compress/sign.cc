@@ -71,19 +71,10 @@ void SignCompressor::Decode(std::span<const std::byte> blob,
                    });
 }
 
-bool SignCompressor::SignBit(std::span<const std::byte> blob, size_t i) {
-  const auto n = wire::Read<uint64_t>(blob, sizeof(float));
-  ACPS_CHECK_MSG(i < n, "SignBit index out of range");
-  const std::byte* bits = blob.data() + kHeaderBytes;
-  return (bits[i / 8] & static_cast<std::byte>(1u << (i % 8))) !=
-         std::byte{0};
-}
-
-void SignCompressor::MajorityVote(
-    std::span<const std::vector<std::byte>> blobs, std::span<float> out) {
-  ACPS_CHECK_MSG(!blobs.empty(), "MajorityVote needs at least one blob");
+void SignCompressor::Merge(BlobList blobs, std::span<float> out) const {
+  ACPS_CHECK_MSG(!blobs.empty(), "majority vote needs at least one blob");
   const auto n = wire::Read<uint64_t>(blobs[0], sizeof(float));
-  ACPS_CHECK_MSG(out.size() == n, "MajorityVote size mismatch");
+  ACPS_CHECK_MSG(out.size() == n, "majority vote size mismatch");
   par::KernelTimer timer("sign_vote", n * blobs.size());
 
   // Scales fold in ascending rank order (blobs arrive rank-indexed), the
@@ -92,7 +83,7 @@ void SignCompressor::MajorityVote(
   double scale_sum = 0.0;
   for (const auto& b : blobs) {
     ACPS_CHECK_MSG(wire::Read<uint64_t>(b, sizeof(float)) == n,
-                   "MajorityVote blobs disagree on element count");
+                   "majority vote blobs disagree on element count");
     scale_sum += wire::Read<float>(b, 0);
   }
   const float scale = static_cast<float>(scale_sum / double(blobs.size()));

@@ -7,7 +7,7 @@
 //
 // Majority vote: signs are not additive (the paper's §III-C), so workers
 // all-gather the packed blobs and each reconstructs sign(Σ_w sign_w(g)) with
-// the mean of worker scales; MajorityVote implements the local tally.
+// the mean of worker scales; Merge implements the local tally.
 #pragma once
 
 #include "compress/compressor.h"
@@ -29,16 +29,13 @@ class SignCompressor final : public Compressor {
     return sizeof(float) + sizeof(uint64_t) + (numel + 7) / 8;
   }
 
-  // Combines one blob per worker (equal original numel) into the
-  // majority-vote result: out[i] = sign(Σ_w sign_w[i]) * mean_w(scale_w).
-  // Ties (possible for even worker counts) resolve to +1, matching the
-  // sign(0)=+1 convention the paper uses for quantization.
-  static void MajorityVote(std::span<const std::vector<std::byte>> blobs,
-                           std::span<float> out);
+  [[nodiscard]] bool biased() const override { return true; }
 
-  // Reads the sign bit of element i from a blob (true => negative).
-  [[nodiscard]] static bool SignBit(std::span<const std::byte> blob,
-                                    size_t i);
+  // Majority vote over one blob per worker (equal original numel):
+  // out[i] = sign(Σ_w sign_w[i]) * mean_w(scale_w). Ties (possible for even
+  // worker counts) resolve to +1, matching the sign(0)=+1 convention the
+  // paper uses for quantization.
+  void Merge(BlobList blobs, std::span<float> out) const override;
 };
 
 }  // namespace acps::compress

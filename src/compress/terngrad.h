@@ -20,6 +20,8 @@ class TernGradCompressor final : public Compressor {
   void Decode(std::span<const std::byte> blob,
               std::span<float> out) const override;
 
+  [[nodiscard]] bool biased() const override { return false; }
+
   [[nodiscard]] size_t EncodedBytes(size_t numel) const override {
     return sizeof(float) + sizeof(uint64_t) + (numel + 3) / 4;  // 2 bits/elem
   }

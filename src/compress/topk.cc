@@ -52,14 +52,9 @@ std::vector<uint32_t> GatherAtLeast(std::span<const float> grad,
 
 }  // namespace
 
-TopkCompressor::TopkCompressor(double ratio, TopkSelection selection)
-    : ratio_(ratio), selection_(selection) {
+TopkCompressor::TopkCompressor(double ratio) : ratio_(ratio) {
   ACPS_CHECK_MSG(ratio > 0.0 && ratio <= 1.0,
                  "top-k ratio must be in (0, 1], got " << ratio);
-}
-
-std::string TopkCompressor::name() const {
-  return selection_ == TopkSelection::kExact ? "topk-exact" : "topk-sampled";
 }
 
 size_t TopkCompressor::KeptCount(size_t numel) const {
@@ -235,14 +230,12 @@ void TopkCompressor::EncodeInto(std::span<const float> grad,
   const size_t n = grad.size();
   const size_t k = KeptCount(n);
   ACPS_CHECK_MSG(out.size() == EncodedBytes(n), "Topk encode size mismatch");
-  last_threshold_passes_ = 0;  // per-call stat: stays 0 for the exact scheme
+  last_threshold_passes_ = 0;  // per-call stat
   wire::Write(out, 0, static_cast<uint64_t>(k));
   wire::Write(out, sizeof(uint64_t), static_cast<uint64_t>(n));
   if (n == 0) return;
 
-  const std::vector<uint32_t> idx = selection_ == TopkSelection::kExact
-                                        ? SelectExact(grad, k)
-                                        : SelectSampled(grad, k);
+  const std::vector<uint32_t> idx = SelectSampled(grad, k);
   ACPS_CHECK(idx.size() == k);
   size_t off = kHeaderBytes;
   for (uint32_t i : idx) {
@@ -258,6 +251,13 @@ void TopkCompressor::Decode(std::span<const std::byte> blob,
   ACPS_CHECK_MSG(out.size() == n, "Topk decode size mismatch");
   std::fill(out.begin(), out.end(), 0.0f);
   AccumulateInto(blob, out, /*num_workers=*/1);
+}
+
+void TopkCompressor::Merge(BlobList blobs, std::span<float> out) const {
+  ACPS_CHECK_MSG(!blobs.empty(), "Top-k merge needs at least one blob");
+  std::fill(out.begin(), out.end(), 0.0f);
+  for (const std::span<const std::byte> blob : blobs)
+    AccumulateInto(blob, out, static_cast<int>(blobs.size()));
 }
 
 void TopkCompressor::AccumulateInto(std::span<const std::byte> blob,

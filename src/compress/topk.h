@@ -1,15 +1,14 @@
 // Top-k sparsification (Lin et al. DGC; Shi et al. MLSys'21 variant).
 //
-// Two selection schemes:
-//  * kExact — true top-k by magnitude (nth_element); the paper notes this is
-//    what you want semantically but is slow on GPUs.
-//  * kSampledThreshold — the paper's "multiple sampling" scheme: pick a
-//    magnitude threshold that keeps ≈ k elements, then take elements above it
-//    (trimming or padding to exactly k so encoded size stays fixed). The
-//    production path finds the threshold with one 4096-bucket histogram that
-//    buckets |g| directly by IEEE bit pattern — no max/range pass needed, so
-//    selection is 2 data passes total (histogram + gather); the original
-//    ~25-pass binary search is kept as SelectSampledBinarySearch for A/B runs.
+// Selection is the paper's "multiple sampling" scheme: pick a magnitude
+// threshold that keeps ≈ k elements, then take elements above it (trimming
+// or padding to exactly k so encoded size stays fixed). The threshold comes
+// from one 4096-bucket histogram that buckets |g| directly by IEEE bit
+// pattern — no max/range pass needed, so selection is 2 data passes total
+// (histogram + gather). It keeps the same set as exact top-k up to ties at
+// the k-th magnitude; SelectExact (nth_element, the definitional reference)
+// and the original ~25-pass binary search (SelectSampledBinarySearch) stay
+// public for parity tests and bench_kernels.
 //
 // Encode: [k][numel][(index, value) × k]. Selected values are the raw
 // gradient entries; aggregation is all-gather + scatter-add-average (Top-k
@@ -21,19 +20,13 @@
 
 namespace acps::compress {
 
-enum class TopkSelection {
-  kExact,
-  kSampledThreshold,
-};
-
 class TopkCompressor final : public Compressor {
  public:
   // `ratio` is the kept fraction (the paper uses 0.001); at least one
   // element is always kept for non-empty inputs.
-  explicit TopkCompressor(double ratio,
-                          TopkSelection selection = TopkSelection::kExact);
+  explicit TopkCompressor(double ratio);
 
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string name() const override { return "topk"; }
 
   void EncodeInto(std::span<const float> grad,
                   std::span<std::byte> out) override;
@@ -45,13 +38,17 @@ class TopkCompressor final : public Compressor {
 
   [[nodiscard]] size_t KeptCount(size_t numel) const;
 
-  // Scatter-adds `blob / num_workers` into `out` (without zeroing `out`):
-  // the aggregation step run after all-gather.
+  [[nodiscard]] bool biased() const override { return true; }
+
+  // Scatter-add-average: out = Σ_w blob_w / |blobs|, in rank order.
+  void Merge(BlobList blobs, std::span<float> out) const override;
+
+  // Scatter-adds `blob / num_workers` into `out` (without zeroing `out`).
   static void AccumulateInto(std::span<const std::byte> blob,
                              std::span<float> out, int num_workers);
 
   // Data passes over the gradient made by the last EncodeInto's threshold
-  // selection (reset to 0 each call; stays 0 for the exact scheme).
+  // selection (reset each call; 0 for an empty gradient).
   [[nodiscard]] int last_threshold_passes() const noexcept {
     return last_threshold_passes_;
   }
@@ -72,7 +69,6 @@ class TopkCompressor final : public Compressor {
                                                     size_t k);
 
   double ratio_;
-  TopkSelection selection_;
   int last_threshold_passes_ = 0;
 };
 

@@ -1,8 +1,10 @@
 // Gradient aggregators: the per-worker runtime that turns local gradients
-// into globally averaged gradients, one implementation per method studied in
-// the paper. All run against the real in-process collectives (acps::comm),
-// so the math — bucketing, majority voting, factor aggregation, error
-// feedback — is executed end to end, not simulated.
+// into globally averaged gradients. S-SGD, Power-SGD and ACP-SGD have their
+// own runtimes; every one-shot compressor of the registry runs through
+// CompressedAggregator, the single compressed-aggregation pipeline. All run
+// against the real in-process collectives (acps::comm), so the math —
+// bucketing, majority voting, factor aggregation, error feedback — is
+// executed end to end, not simulated.
 //
 // Contract: Aggregate() is collective — every worker of the group must call
 // it with structurally identical parameter lists (same order, shapes), and
@@ -19,11 +21,8 @@
 
 #include "comm/communicator.h"
 #include "compress/acpsgd.h"
-#include "compress/error_feedback.h"
+#include "compress/aggregation.h"
 #include "compress/powersgd.h"
-#include "compress/randomk.h"
-#include "compress/sign.h"
-#include "compress/topk.h"
 #include "dnn/layer.h"
 #include "fusion/bucket_assigner.h"
 
@@ -56,64 +55,22 @@ class AllReduceAggregator final : public GradientAggregator {
   int64_t buffer_bytes_;
 };
 
-// --- Sign-SGD with majority vote over all-gather. --------------------------
-class SignAggregator final : public GradientAggregator {
+// --- Any one-shot compressor (Sign, Top-k, Random-k, QSGD, ...). ----------
+// Packs every gradient into one flat tensor (reverse order, §III-A) and runs
+// it through compress::CompressedAggregation: the compressor decides its
+// wire shape, its merge and whether error feedback applies.
+class CompressedAggregator final : public GradientAggregator {
  public:
-  explicit SignAggregator(bool error_feedback = true)
-      : error_feedback_(error_feedback) {}
-  [[nodiscard]] std::string name() const override { return "signsgd"; }
+  explicit CompressedAggregator(std::unique_ptr<compress::Compressor> c)
+      : pipeline_(std::move(c)) {}
+  [[nodiscard]] std::string name() const override {
+    return pipeline_.compressor().name();
+  }
   void Aggregate(const std::vector<dnn::Param*>& params,
                  comm::Communicator& comm) override;
 
  private:
-  bool error_feedback_;
-  compress::SignCompressor compressor_;
-  compress::ErrorFeedback ef_;
-  // Encode/gather scratch reused across steps (EncodeInto writes in place,
-  // so steady-state Aggregate() does no blob allocation).
-  std::vector<std::byte> encode_scratch_;
-  std::vector<std::byte> gather_scratch_;
-};
-
-// --- Top-k SGD over all-gather + scatter-add. ------------------------------
-class TopkAggregator final : public GradientAggregator {
- public:
-  explicit TopkAggregator(double ratio = 0.001, bool error_feedback = true,
-                          compress::TopkSelection selection =
-                              compress::TopkSelection::kSampledThreshold)
-      : error_feedback_(error_feedback), compressor_(ratio, selection) {}
-  [[nodiscard]] std::string name() const override { return "topk"; }
-  void Aggregate(const std::vector<dnn::Param*>& params,
-                 comm::Communicator& comm) override;
-
- private:
-  bool error_feedback_;
-  compress::TopkCompressor compressor_;
-  compress::ErrorFeedback ef_;
-  std::vector<std::byte> encode_scratch_;  // reused across steps
-  std::vector<std::byte> gather_scratch_;
-};
-
-// --- Random-k: the additive sparsifier. ------------------------------------
-// With a shared per-step seed, every worker selects the SAME coordinates,
-// so the compressed value vectors are additive and can ride a ring
-// all-reduce — the paper's §III-C "additive communication" property that
-// Top-k lacks. The flip side (why the paper prefers Top-k for accuracy):
-// random coordinates carry less of the gradient energy.
-class RandomkAggregator final : public GradientAggregator {
- public:
-  explicit RandomkAggregator(double ratio = 0.01, bool error_feedback = true,
-                             uint64_t seed = 0x5EEDull)
-      : error_feedback_(error_feedback), compressor_(ratio, seed) {}
-  [[nodiscard]] std::string name() const override { return "randomk"; }
-  void Aggregate(const std::vector<dnn::Param*>& params,
-                 comm::Communicator& comm) override;
-
- private:
-  bool error_feedback_;
-  compress::RandomkCompressor compressor_;
-  compress::ErrorFeedback ef_;
-  std::vector<std::byte> encode_scratch_;  // reused across steps
+  compress::CompressedAggregation pipeline_;
 };
 
 // --- Power-SGD (Algorithm 1): blocking two-phase low-rank aggregation. -----
@@ -144,26 +101,22 @@ class AcpSgdAggregator final : public GradientAggregator {
   void Aggregate(const std::vector<dnn::Param*>& params,
                  comm::Communicator& comm) override;
 
-  [[nodiscard]] const compress::AcpSgd& algorithm() const { return acp_; }
-
  private:
   compress::AcpSgd acp_;
   int64_t buffer_bytes_;
 };
 
-// Ready-made factories for the methods compared in Fig 6/7.
-[[nodiscard]] AggregatorFactory MakeSsgdFactory();
-[[nodiscard]] AggregatorFactory MakePowerSgdFactory(int64_t rank);
+// ACP-SGD with the Fig 7 ablation switches (error feedback, query reuse).
 [[nodiscard]] AggregatorFactory MakeAcpSgdFactory(int64_t rank,
                                                   bool error_feedback = true,
                                                   bool reuse = true);
 
 // Spec-string factory, the bridge from comm::SessionOptions::compressor_spec
-// to an AggregatorFactory. Grammar: "ssgd", "acpsgd[:rank]" (default 4),
-// "powersgd[:rank]" (default 4), "sign", "topk[:ratio]" (default 0.001),
-// "randomk[:ratio]" (default 0.01). `buffer_bytes` is the fusion budget for
-// the bucketed methods; 0 means fusion::kDefaultBufferBytes. Throws
-// acps::Error on an unknown name or an out-of-range parameter.
+// to an AggregatorFactory. Accepts every spec of the registry
+// (compress/registry.h): "ssgd", "powersgd[:rank]", "acpsgd[:rank]", and the
+// one-shot compressors, which run through CompressedAggregator.
+// `buffer_bytes` is the fusion budget for the bucketed methods; 0 means
+// fusion::kDefaultBufferBytes. Throws acps::Error on an invalid spec.
 [[nodiscard]] AggregatorFactory MakeAggregatorFactory(const std::string& spec,
                                                       int64_t buffer_bytes = 0);
 

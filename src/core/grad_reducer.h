@@ -35,7 +35,7 @@ class GradReducer {
   // any order is accepted). The communicator must outlive the reducer and
   // all workers must construct reducers with identical params/config.
   // `config` is validated here (AcpSgdConfig::Validate) and `buffer_bytes`
-  // must be positive. If the communicator's ThreadGroup carries an enabled
+  // must be positive. If the communicator's Transport carries an enabled
   // obs::Tracer, every hook/compress/bucket/decompress emits a span; if
   // `metrics` is non-null (not owned), bucket counters/histograms are
   // recorded there.

@@ -6,9 +6,10 @@
 #include <sstream>
 
 #include "comm/communicator.h"
+#include "comm/group_ops.h"
 #include "comm/hierarchical.h"
 #include "compress/acpsgd.h"
-#include "compress/error_feedback.h"
+#include "compress/aggregation.h"
 #include "compress/powersgd.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
@@ -40,6 +41,13 @@ void AppendBytes(std::vector<std::byte>& slot, std::span<const float> v) {
   slot.insert(slot.end(), b.begin(), b.end());
 }
 
+// The one-shot compressor of a gather method (Top-k keeps a quarter).
+std::unique_ptr<compress::Compressor> OneShot(ChaosMethod m) {
+  if (m == ChaosMethod::kTopk)
+    return std::make_unique<compress::TopkCompressor>(0.25);
+  return std::make_unique<compress::SignCompressor>();
+}
+
 // The wire payload a method would put on this collective: the compressed
 // representation (decoded back to floats so every collective can carry it),
 // deterministic per (method, rank).
@@ -49,20 +57,11 @@ std::vector<float> MethodPayload(ChaosMethod m, int rank, int64_t n) {
   for (int64_t i = 0; i < n; ++i)
     g[static_cast<size_t>(i)] = GradValue(rank, i);
   switch (m) {
-    case ChaosMethod::kSign: {
-      compress::SignCompressor sign;
-      std::vector<std::byte> blob(sign.EncodedBytes(g.size()));
-      sign.EncodeInto(g, blob);
-      std::vector<float> out(g.size());
-      sign.Decode(blob, out);
-      return out;
-    }
+    case ChaosMethod::kSign:
     case ChaosMethod::kTopk: {
-      compress::TopkCompressor topk(0.25, compress::TopkSelection::kExact);
-      std::vector<std::byte> blob(topk.EncodedBytes(g.size()));
-      topk.EncodeInto(g, blob);
-      std::vector<float> out(g.size(), 0.0f);
-      topk.Decode(blob, out);
+      const auto c = OneShot(m);
+      std::vector<float> out(g.size());
+      c->Decode(c->Encode(g), out);
       return out;
     }
     case ChaosMethod::kAcpSgd: {
@@ -434,77 +433,28 @@ ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt) {
     compress::PowerSgdConfig psgd_cfg;
     psgd_cfg.rank = 2;
     compress::PowerSgd psgd(psgd_cfg);
-    compress::TopkCompressor topk(0.25, compress::TopkSelection::kExact);
-    compress::SignCompressor sign;
-    compress::ErrorFeedback ef;
+    // Top-k and Sign run the trainer's compressed-aggregation pipeline.
+    compress::CompressedAggregation pipeline(OneShot(m));
 
-    // EF conservation ledgers (harness-owned EF methods only): per element,
-    // sum of raw gradients fed in and sum of reconstructions applied.
-    const bool harness_ef =
-        m == ChaosMethod::kTopk || m == ChaosMethod::kSign;
+    // EF conservation ledgers (pipeline EF methods only): per element, sum
+    // of raw gradients fed in and sum of own-blob reconstructions.
     std::vector<double> grad_mass;
     std::vector<double> recon_mass;
-    if (harness_ef) {
+    if (with_ef_gap) {
       grad_mass.assign(static_cast<size_t>(w.numel() + b.numel()), 0.0);
       recon_mass.assign(grad_mass.size(), 0.0);
     }
 
-    const auto mean = [&comm](std::span<float> v) {
-      comm.all_reduce(v);
-      const float inv = 1.0f / static_cast<float>(comm.alive_world_size());
-      for (float& x : v) x *= inv;
-    };
-
-    // One sparse/sign aggregation: EF add-in, encode, all-gather blobs,
-    // combine the ALIVE blobs, EF update from the own-blob reconstruction.
-    const auto gather_combine = [&](int64_t id, Tensor& grad,
-                                    int64_t mass_base) {
-      if (harness_ef) {
-        for (int64_t i = 0; i < grad.numel(); ++i)
-          grad_mass[static_cast<size_t>(mass_base + i)] +=
-              static_cast<double>(grad.data()[static_cast<size_t>(i)]);
-      }
-      ef.AddInto(id, grad);
-      const Tensor input = grad.clone();
-      const size_t nel = static_cast<size_t>(grad.numel());
-      compress::Compressor& comp =
-          m == ChaosMethod::kTopk
-              ? static_cast<compress::Compressor&>(topk)
-              : static_cast<compress::Compressor&>(sign);
-      std::vector<std::byte> blob(comp.EncodedBytes(nel));
-      comp.EncodeInto(grad.data(), blob);
-      std::vector<std::byte> gathered(blob.size() *
-                                      static_cast<size_t>(p));
-      comm.all_gather_bytes(blob, gathered);
-      // Own reconstruction BEFORE combining: EF tracks what this worker's
-      // compressor kept, not what the group agreed on.
-      Tensor recon(Shape{grad.numel()});
-      comp.Decode(blob, recon.data());
-      std::vector<float> merged(nel, 0.0f);
-      if (m == ChaosMethod::kTopk) {
-        for (int src : comm.alive_ranks()) {
-          const auto sb = std::span<const std::byte>(gathered).subspan(
-              static_cast<size_t>(src) * blob.size(), blob.size());
-          compress::TopkCompressor::AccumulateInto(
-              sb, merged, comm.alive_world_size());
-        }
-      } else {
-        std::vector<std::vector<std::byte>> blobs;
-        blobs.reserve(static_cast<size_t>(comm.alive_world_size()));
-        for (int src : comm.alive_ranks()) {
-          const auto sb = std::span<const std::byte>(gathered).subspan(
-              static_cast<size_t>(src) * blob.size(), blob.size());
-          blobs.emplace_back(sb.begin(), sb.end());
-        }
-        compress::SignCompressor::MajorityVote(blobs, merged);
-      }
-      ef.Update(id, input, recon);
-      if (harness_ef) {
-        for (size_t i = 0; i < nel; ++i)
-          recon_mass[static_cast<size_t>(mass_base) + i] +=
-              static_cast<double>(recon.data()[i]);
-      }
-      std::copy(merged.begin(), merged.end(), grad.data().begin());
+    const compress::GroupOps ops = comm::GroupOpsOf(comm);
+    const auto aggregate = [&](int64_t id, Tensor& grad, int64_t mass_base) {
+      for (int64_t i = 0; i < grad.numel(); ++i)
+        grad_mass[static_cast<size_t>(mass_base + i)] +=
+            static_cast<double>(grad.data()[static_cast<size_t>(i)]);
+      pipeline.Aggregate(id, grad, ops);
+      const std::span<const float> recon = pipeline.own_reconstruction();
+      for (size_t i = 0; i < recon.size(); ++i)
+        recon_mass[static_cast<size_t>(mass_base) + i] +=
+            static_cast<double>(recon[i]);
     };
 
     for (int s = 0; s < steps; ++s) {
@@ -515,19 +465,19 @@ ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt) {
       switch (m) {
         case ChaosMethod::kAcpSgd: {
           const std::span<float> factor = acp.LocalStep(0, wg);
-          mean(factor);
+          ops.all_reduce_mean(factor);
           acp.Finish(0, wg);
-          mean(bg.data());
+          ops.all_reduce_mean(bg.data());
           break;
         }
         case ChaosMethod::kPowerSgd:
-          psgd.Step(0, wg, mean);
-          mean(bg.data());
+          psgd.Step(0, wg, ops.all_reduce_mean);
+          ops.all_reduce_mean(bg.data());
           break;
         case ChaosMethod::kTopk:
         case ChaosMethod::kSign:
-          gather_combine(0, wg, 0);
-          gather_combine(1, bg, w.numel());
+          aggregate(0, wg, 0);
+          aggregate(1, bg, w.numel());
           break;
       }
       for (int64_t j = 0; j < w.numel(); ++j)
@@ -541,23 +491,19 @@ ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt) {
     auto& slot = out.outputs[static_cast<size_t>(r)];
     AppendBytes(slot, w.data());
     AppendBytes(slot, b.data());
-    if (harness_ef) {
+    if (with_ef_gap) {
       // Telescoping invariant: sum(grad) == sum(reconstruction) + residual.
       double gap = 0.0;
-      const Tensor& rw = ef.residual(0, wg.shape());
-      const Tensor& rb = ef.residual(1, bg.shape());
-      for (int64_t j = 0; j < w.numel(); ++j)
-        gap = std::max(
-            gap, std::abs(grad_mass[static_cast<size_t>(j)] -
-                          recon_mass[static_cast<size_t>(j)] -
-                          static_cast<double>(
-                              rw.data()[static_cast<size_t>(j)])));
-      for (int64_t j = 0; j < b.numel(); ++j)
-        gap = std::max(
-            gap,
-            std::abs(grad_mass[static_cast<size_t>(w.numel() + j)] -
-                     recon_mass[static_cast<size_t>(w.numel() + j)] -
-                     static_cast<double>(rb.data()[static_cast<size_t>(j)])));
+      size_t at = 0;
+      for (const Tensor* g : {&wg, &bg}) {
+        const Tensor& residual =
+            pipeline.error_feedback().residual(g == &wg ? 0 : 1, g->shape());
+        for (const float res : residual.data()) {
+          gap = std::max(gap, std::abs(grad_mass[at] - recon_mass[at] -
+                                       static_cast<double>(res)));
+          ++at;
+        }
+      }
       out.ef_gap[static_cast<size_t>(r)] = gap;
     }
   }, with_ef_gap);

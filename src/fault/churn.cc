@@ -6,8 +6,9 @@
 #include <sstream>
 
 #include "comm/communicator.h"
+#include "comm/group_ops.h"
 #include "comm/hierarchical.h"
-#include "compress/error_feedback.h"
+#include "compress/aggregation.h"
 #include "compress/powersgd.h"
 #include "compress/topk.h"
 #include "tensor/check.h"
@@ -91,8 +92,10 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
   Tensor wg({kRowsW, kColsW});
   Tensor bg({kNumelB});
 
-  compress::TopkCompressor topk(0.25, compress::TopkSelection::kExact);
-  compress::ErrorFeedback ef;
+  // Top-k + EF runs the trainer's compressed-aggregation pipeline.
+  compress::CompressedAggregation pipeline(
+      std::make_unique<compress::TopkCompressor>(0.25));
+  compress::ErrorFeedback& ef = pipeline.error_feedback();
   compress::PowerSgdConfig pcfg;
   pcfg.rank = 2;
   compress::PowerSgd psgd(pcfg);
@@ -107,11 +110,7 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
 
   uint64_t step = 0;
 
-  const auto mean = [&comm](std::span<float> v) {
-    comm.all_reduce(v);
-    const float inv = 1.0f / static_cast<float>(comm.alive_world_size());
-    for (float& x : v) x *= inv;
-  };
+  const compress::GroupOps ops = comm::GroupOpsOf(comm);
 
   // Post-commit resync. Runs on EVERY alive rank of the committed view
   // whenever the commit admitted ranks — donor, bystanders and joiners
@@ -177,36 +176,17 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
   // to issue.
   if (comm.join_generation() > 0) handle_transition(comm.last_transition());
 
-  // One Top-k + EF aggregation (the chaos harness's gather_combine, over
-  // the live view): EF add-in, encode, all-gather blobs, combine the ALIVE
-  // blobs, EF update from the own-blob reconstruction.
-  const auto gather_combine = [&](int64_t id, Tensor& grad,
-                                  int64_t mass_base) {
+  // One Top-k + EF aggregation over the live view, with the conservation
+  // ledgers: raw gradients in, own-blob reconstructions out.
+  const auto aggregate = [&](int64_t id, Tensor& grad, int64_t mass_base) {
     for (int64_t i = 0; i < grad.numel(); ++i)
       grad_mass[static_cast<size_t>(mass_base + i)] +=
           static_cast<double>(grad.data()[static_cast<size_t>(i)]);
-    ef.AddInto(id, grad);
-    const Tensor input = grad.clone();
-    const auto nel = static_cast<size_t>(grad.numel());
-    std::vector<std::byte> blob(topk.EncodedBytes(nel));
-    topk.EncodeInto(grad.data(), blob);
-    std::vector<std::byte> gathered(
-        blob.size() * static_cast<size_t>(comm.world_size()));
-    comm.all_gather_bytes(blob, gathered);
-    Tensor recon(Shape{grad.numel()});
-    topk.Decode(blob, recon.data());
-    std::vector<float> merged(nel, 0.0f);
-    for (const int src : comm.alive_ranks()) {
-      const auto sb = std::span<const std::byte>(gathered).subspan(
-          static_cast<size_t>(src) * blob.size(), blob.size());
-      compress::TopkCompressor::AccumulateInto(sb, merged,
-                                               comm.alive_world_size());
-    }
-    ef.Update(id, input, recon);
-    for (size_t i = 0; i < nel; ++i)
+    pipeline.Aggregate(id, grad, ops);
+    const std::span<const float> recon = pipeline.own_reconstruction();
+    for (size_t i = 0; i < recon.size(); ++i)
       recon_mass[static_cast<size_t>(mass_base) + i] +=
-          static_cast<double>(recon.data()[i]);
-    std::copy(merged.begin(), merged.end(), grad.data().begin());
+          static_cast<double>(recon[i]);
   };
 
   while (step < steps_total) {
@@ -217,12 +197,12 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
     }
     switch (spec.method) {
       case ChurnMethod::kTopkEf:
-        gather_combine(kWId, wg, 0);
-        gather_combine(kBId, bg, kNumelW);
+        aggregate(kWId, wg, 0);
+        aggregate(kBId, bg, kNumelW);
         break;
       case ChurnMethod::kPowerSgd:
-        psgd.Step(kWId, wg, mean);
-        mean(bg.data());
+        psgd.Step(kWId, wg, ops.all_reduce_mean);
+        ops.all_reduce_mean(bg.data());
         break;
       case ChurnMethod::kDenseHier:
         comm::HierarchicalAllReduce(comm, wg.data(), spec.gpus_per_node);
@@ -275,20 +255,15 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
     // Telescoping invariant across the whole churn history:
     // sum(grad) == sum(reconstruction) + residual, per element.
     double gap = 0.0;
-    const Tensor& rw = ef.residual(kWId, wg.shape());
-    const Tensor& rb = ef.residual(kBId, bg.shape());
-    for (int64_t j = 0; j < kNumelW; ++j)
-      gap = std::max(
-          gap, std::abs(grad_mass[static_cast<size_t>(j)] -
-                        recon_mass[static_cast<size_t>(j)] -
-                        static_cast<double>(
-                            rw.data()[static_cast<size_t>(j)])));
-    for (int64_t j = 0; j < kNumelB; ++j)
-      gap = std::max(
-          gap,
-          std::abs(grad_mass[static_cast<size_t>(kNumelW + j)] -
-                   recon_mass[static_cast<size_t>(kNumelW + j)] -
-                   static_cast<double>(rb.data()[static_cast<size_t>(j)])));
+    size_t at = 0;
+    for (const Tensor* g : {&wg, &bg}) {
+      const int64_t id = g == &wg ? kWId : kBId;
+      for (const float res : ef.residual(id, g->shape()).data()) {
+        gap = std::max(gap, std::abs(grad_mass[at] - recon_mass[at] -
+                                     static_cast<double>(res)));
+        ++at;
+      }
+    }
     run.ef_gap[static_cast<size_t>(r)] = gap;
   }
 }

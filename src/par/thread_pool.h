@@ -11,7 +11,7 @@
 //
 // Nesting / oversubscription: Run() takes the region lock with try_lock.
 // When the pool is already busy — e.g. several simulated ring workers
-// (comm::ThreadGroup) hit a kernel at once, or a kernel nests inside another
+// (comm::Session) hit a kernel at once, or a kernel nests inside another
 // parallel region — the caller simply executes all blocks inline. Because
 // results are partition- and scheduling-independent by construction, the
 // serial fallback is bitwise identical to the parallel path.
@@ -56,7 +56,7 @@ void SetNumThreads(int n);
 
 // Budget for one of `world_size` simulated ring workers: `requested` if
 // > 0, else NumThreads() divided by the worker count (min 1), so the
-// pool and the ThreadGroup together never oversubscribe the machine.
+// pool and the session's workers together never oversubscribe the machine.
 [[nodiscard]] int WorkerThreadBudget(int requested, int world_size);
 
 class ThreadPool {

@@ -114,36 +114,25 @@ void CheckWorkersIdentical(int p, MakeAgg make) {
 }
 
 TEST(Aggregators, AllWorkersEndIdentical) {
-  CheckWorkersIdentical(4, [](int r, int w) {
-    return MakeSsgdFactory()(r, w);
-  });
-  CheckWorkersIdentical(4, [](int r, int w) {
-    return MakePowerSgdFactory(2)(r, w);
-  });
-  CheckWorkersIdentical(4, [](int r, int w) {
-    return MakeAcpSgdFactory(2)(r, w);
-  });
+  for (const char* spec : {"ssgd", "powersgd:2", "acpsgd:2", "sign", "topk:0.1",
+                           "randomk:0.1", "qsgd:16", "fp16"})
+    CheckWorkersIdentical(4, MakeAggregatorFactory(spec));
   CheckWorkersIdentical(3, [](int r, int w) {
     return MakeAcpSgdFactory(2, /*error_feedback=*/false, /*reuse=*/false)(r, w);
   });
-  CheckWorkersIdentical(4, [](int, int) {
-    return std::make_unique<SignAggregator>();
-  });
-  CheckWorkersIdentical(4, [](int, int) {
-    return std::make_unique<TopkAggregator>(0.1);
-  });
 }
 
-TEST(SignAggregator, MatchesMajorityVoteReference) {
+TEST(CompressedAggregator, SignMatchesMajorityVoteReference) {
   const int p = 3;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    SignAggregator agg(/*error_feedback=*/false);
+    // First step: the EF residual is still zero.
+    auto agg = MakeAggregatorFactory("sign")(comm.rank(), p);
     auto params = tp.list();
-    agg.Aggregate(params, comm);
+    agg->Aggregate(params, comm);
     results[static_cast<size_t>(comm.rank())] = tp.bias.grad.clone();
   });
   // Reference: majority vote of the bias signs (the bias is packed last in
@@ -158,17 +147,16 @@ TEST(SignAggregator, MatchesMajorityVoteReference) {
   }
 }
 
-TEST(TopkAggregator, KeepsOnlyUnionOfTopkCoordinates) {
+TEST(CompressedAggregator, TopkKeepsOnlyUnionOfTopkCoordinates) {
   const int p = 2;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    TopkAggregator agg(0.05, /*error_feedback=*/false,
-                       compress::TopkSelection::kExact);
+    auto agg = MakeAggregatorFactory("topk:0.05")(comm.rank(), p);
     auto params = tp.list();
-    agg.Aggregate(params, comm);
+    agg->Aggregate(params, comm);
     results[static_cast<size_t>(comm.rank())] = tp.w1.grad.clone();
   });
   // With ratio 0.05 over 1448 elements total, most coordinates are zero.

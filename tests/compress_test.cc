@@ -2,6 +2,7 @@
 // TernGrad, FP16, and the error-feedback store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "compress/error_feedback.h"
@@ -54,7 +55,13 @@ TEST(Sign, EncodedSizeExact) {
   }
 }
 
-TEST(Sign, MajorityVote) {
+// Span views over owned blobs, the form Compressor::Merge takes.
+std::vector<std::span<const std::byte>> Views(
+    const std::vector<std::vector<std::byte>>& blobs) {
+  return {blobs.begin(), blobs.end()};
+}
+
+TEST(Sign, MergeIsMajorityVote) {
   SignCompressor c;
   // Three workers; element 0: (+,+,-) => +; element 1: (-,-,+) => -.
   std::vector<std::vector<std::byte>> blobs;
@@ -62,7 +69,7 @@ TEST(Sign, MajorityVote) {
   blobs.push_back(c.Encode(std::vector<float>{1.0f, -1.0f}));
   blobs.push_back(c.Encode(std::vector<float>{-1.0f, 1.0f}));
   std::vector<float> out(2);
-  SignCompressor::MajorityVote(blobs, out);
+  c.Merge(Views(blobs), out);
   EXPECT_GT(out[0], 0.0f);
   EXPECT_LT(out[1], 0.0f);
 }
@@ -73,7 +80,7 @@ TEST(Sign, MajorityVoteTieIsPositive) {
   blobs.push_back(c.Encode(std::vector<float>{1.0f}));
   blobs.push_back(c.Encode(std::vector<float>{-1.0f}));
   std::vector<float> out(1);
-  SignCompressor::MajorityVote(blobs, out);
+  c.Merge(Views(blobs), out);
   EXPECT_GT(out[0], 0.0f);
 }
 
@@ -86,10 +93,8 @@ TEST(Sign, DecodeSizeMismatchThrows) {
 
 // ---------------------------------------------------------------- Topk ----
 
-class TopkSelectionTest : public ::testing::TestWithParam<TopkSelection> {};
-
-TEST_P(TopkSelectionTest, SelectsLargestMagnitudes) {
-  TopkCompressor c(0.1, GetParam());
+TEST(Topk, SelectsLargestMagnitudes) {
+  TopkCompressor c(0.1);
   std::vector<float> g(100, 0.01f);
   // Plant 10 large entries at known spots.
   for (int i = 0; i < 10; ++i) g[static_cast<size_t>(i * 10)] = 5.0f + i;
@@ -108,8 +113,8 @@ TEST_P(TopkSelectionTest, SelectsLargestMagnitudes) {
   }
 }
 
-TEST_P(TopkSelectionTest, ExactlyKRecords) {
-  TopkCompressor c(0.05, GetParam());
+TEST(Topk, ExactlyKRecords) {
+  TopkCompressor c(0.05);
   for (size_t n : {20u, 100u, 999u}) {
     const auto g = RandomGrad(n, n * 3);
     const auto blob = c.Encode(g);
@@ -117,31 +122,44 @@ TEST_P(TopkSelectionTest, ExactlyKRecords) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Schemes, TopkSelectionTest,
-                         ::testing::Values(TopkSelection::kExact,
-                                           TopkSelection::kSampledThreshold));
+// The kept indices of an encode, sorted.
+std::vector<uint32_t> KeptIndices(TopkCompressor& c, std::span<const float> g) {
+  const auto blob = c.Encode(g);
+  std::vector<float> out(g.size());
+  c.Decode(blob, out);
+  std::vector<uint32_t> idx;
+  for (uint32_t i = 0; i < g.size(); ++i)
+    if (out[i] != 0.0f) idx.push_back(i);
+  return idx;
+}
 
-TEST(Topk, SampledMatchesExactEnergyClosely) {
-  // Sampled threshold selection must capture nearly the same gradient
-  // energy as exact top-k (it is allowed to differ in tie handling).
+TEST(Topk, SelectionMatchesExactUpToTies) {
+  TopkCompressor c(0.01);
+  // Distinct magnitudes: the histogram selection keeps exactly the set of
+  // the definitional nth_element reference.
   const auto g = RandomGrad(20000, 9);
-  TopkCompressor exact(0.01, TopkSelection::kExact);
-  TopkCompressor sampled(0.01, TopkSelection::kSampledThreshold);
-  auto energy = [&](Compressor& c) {
-    const auto blob = c.Encode(g);
-    std::vector<float> out(g.size());
-    c.Decode(blob, out);
-    double e = 0.0;
-    for (float v : out) e += double(v) * v;
-    return e;
+  auto exact = c.SelectExact(g, c.KeptCount(g.size()));
+  std::sort(exact.begin(), exact.end());
+  EXPECT_EQ(KeptIndices(c, g), exact);
+
+  // Heavy ties at the k-th magnitude: the sets may differ, the kept
+  // magnitudes may not.
+  std::vector<float> tied(2000);
+  for (size_t i = 0; i < tied.size(); ++i)
+    tied[i] = static_cast<float>(static_cast<int>((i * 7) % 19) - 9) * 0.25f;
+  const auto magnitudes = [&](const std::vector<uint32_t>& idx) {
+    std::vector<float> m;
+    for (uint32_t i : idx) m.push_back(std::abs(tied[i]));
+    std::sort(m.begin(), m.end());
+    return m;
   };
-  const double ee = energy(exact);
-  const double es = energy(sampled);
-  EXPECT_GT(es, 0.97 * ee);
+  TopkCompressor wide(0.1);
+  EXPECT_EQ(magnitudes(KeptIndices(wide, tied)),
+            magnitudes(wide.SelectExact(tied, wide.KeptCount(tied.size()))));
 }
 
 TEST(Topk, HistogramSelectionIsTwoPass) {
-  TopkCompressor c(0.001, TopkSelection::kSampledThreshold);
+  TopkCompressor c(0.001);
   (void)c.Encode(RandomGrad(50000, 5));
   // Histogram-assisted selection: the bit-pattern bucketing needs no
   // max/range pass, so selection is histogram pass + gather pass.
@@ -149,7 +167,7 @@ TEST(Topk, HistogramSelectionIsTwoPass) {
 }
 
 TEST(Topk, BinarySearchSelectionIsMultiPass) {
-  TopkCompressor c(0.001, TopkSelection::kSampledThreshold);
+  TopkCompressor c(0.001);
   const auto g = RandomGrad(50000, 5);
   const auto idx = c.SelectSampledBinarySearch(g, c.KeptCount(g.size()));
   EXPECT_EQ(idx.size(), c.KeptCount(g.size()));
@@ -159,34 +177,42 @@ TEST(Topk, BinarySearchSelectionIsMultiPass) {
 }
 
 TEST(Topk, ThresholdPassesResetEachEncode) {
-  // Regression: the pass counter is per-call state. An exact-scheme encode
-  // after a sampled one must report 0, not the stale sampled count — and a
-  // mixed-magnitude gradient (one huge outlier 20 decades above the rest;
-  // under the old linear-scale histogram it crowded everything else into
-  // the bottom bucket) must still select exactly k.
-  TopkCompressor sampled(0.01, TopkSelection::kSampledThreshold);
+  // Regression: the pass counter is per-call state. An encode after the
+  // multi-pass binary search must report its own 2 passes, not the stale
+  // count — and a mixed-magnitude gradient (one huge outlier 20 decades
+  // above the rest; under the old linear-scale histogram it crowded
+  // everything else into the bottom bucket) must still select exactly k.
+  TopkCompressor c(0.01);
   std::vector<float> g = RandomGrad(10000, 11);
+  (void)c.SelectSampledBinarySearch(g, c.KeptCount(g.size()));
+  ASSERT_GT(c.last_threshold_passes(), 2);
   g[123] = 1e20f;  // outlier, alone in a top bucket
-  const auto blob = sampled.Encode(g);
-  EXPECT_EQ(blob.size(), sampled.EncodedBytes(g.size()));
-  EXPECT_EQ(sampled.last_threshold_passes(), 2);
+  const auto blob = c.Encode(g);
+  EXPECT_EQ(blob.size(), c.EncodedBytes(g.size()));
+  EXPECT_EQ(c.last_threshold_passes(), 2);
   std::vector<float> out(g.size());
-  sampled.Decode(blob, out);
+  c.Decode(blob, out);
   EXPECT_EQ(out[123], 1e20f);  // the outlier always survives selection
-
-  TopkCompressor exact(0.01, TopkSelection::kExact);
-  (void)exact.Encode(g);
-  EXPECT_EQ(exact.last_threshold_passes(), 0);
 }
 
 TEST(Topk, AccumulateAverages) {
-  TopkCompressor c(0.5, TopkSelection::kExact);
+  TopkCompressor c(0.5);
   const std::vector<float> g{4.0f, 0.0f, -8.0f, 0.0f};
   const auto blob = c.Encode(g);
   std::vector<float> out(4, 0.0f);
   TopkCompressor::AccumulateInto(blob, out, /*num_workers=*/2);
   EXPECT_FLOAT_EQ(out[0], 2.0f);
   EXPECT_FLOAT_EQ(out[2], -4.0f);
+}
+
+TEST(Topk, MergeScatterAddsTheAverage) {
+  TopkCompressor c(0.5);
+  std::vector<std::vector<std::byte>> blobs;
+  blobs.push_back(c.Encode(std::vector<float>{4.0f, 0.0f, -8.0f, 0.0f}));
+  blobs.push_back(c.Encode(std::vector<float>{0.0f, 6.0f, 2.0f, 0.0f}));
+  std::vector<float> out(4, 99.0f);  // Merge overwrites
+  c.Merge(Views(blobs), out);
+  EXPECT_EQ(out, (std::vector<float>{2.0f, 3.0f, -3.0f, 0.0f}));
 }
 
 TEST(Topk, KeptCountAtLeastOne) {
@@ -244,26 +270,62 @@ TEST(Randomk, IndicesDistinct) {
 }
 
 TEST(Randomk, AdditiveBlobs) {
-  // The all-reduce-compatibility property: same (seed, step) blobs add.
+  // The all-reduce-compatibility property: same (seed, step) blobs add
+  // through their payloads.
   RandomkCompressor a(0.25, 123), b(0.25, 123);
+  ASSERT_EQ(a.wire_shape(), WireShape::kAdditive);
   const auto g1 = RandomGrad(64, 7);
   const auto g2 = RandomGrad(64, 8);
-  const auto b1 = a.Encode(g1);
-  const auto b2 = b.Encode(g2);
-  const auto sum = RandomkCompressor::Add(b1, b2);
-  std::vector<float> out(64), o1(64), o2(64);
-  a.Decode(sum, out);
+  auto b1 = a.Encode(g1);
+  auto b2 = b.Encode(g2);
+  std::vector<float> o1(64), o2(64), out(64);
   a.Decode(b1, o1);
   a.Decode(b2, o2);
-  for (size_t i = 0; i < 64; ++i) EXPECT_NEAR(out[i], o1[i] + o2[i], 1e-5f);
+  const std::span<float> p1 = a.AdditivePayload(b1);
+  const std::span<const float> p2 = b.AdditivePayload(b2);
+  ASSERT_EQ(p1.size(), a.KeptCount(64));
+  for (size_t j = 0; j < p1.size(); ++j) p1[j] += p2[j];
+  a.Decode(b1, out);
+  for (size_t i = 0; i < 64; ++i) EXPECT_EQ(out[i], o1[i] + o2[i]);
 }
 
-TEST(Randomk, AddRejectsMismatchedHeaders) {
-  RandomkCompressor a(0.25, 1), b(0.25, 2);  // different seeds
-  const auto g = RandomGrad(64, 7);
-  const auto b1 = a.Encode(g);
-  const auto b2 = b.Encode(g);
-  EXPECT_THROW((void)RandomkCompressor::Add(b1, b2), Error);
+// The O(n)-pool partial Fisher–Yates walk the sparse sampler replaced, kept
+// as its reference: same seed, same Rng draws, same index sequence.
+std::vector<uint32_t> DenseFisherYates(uint64_t seed, size_t k, size_t n) {
+  Rng rng(seed);
+  std::vector<uint32_t> pool(n);
+  for (size_t i = 0; i < n; ++i) pool[i] = static_cast<uint32_t>(i);
+  for (size_t i = 0; i < k; ++i) {
+    const size_t j = i + static_cast<size_t>(rng.next_below(n - i));
+    std::swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+TEST(Randomk, SparseSamplerMatchesDenseWalk) {
+  for (const double ratio : {0.01, 0.3, 1.0}) {
+    for (const size_t n : {1u, 2u, 17u, 1000u, 100003u}) {
+      RandomkCompressor c(ratio, 0xABCull + n);
+      for (int step = 0; step < 3; ++step) {
+        const auto blob =
+            c.Encode(RandomGrad(n, n + static_cast<size_t>(step)));
+        const auto seed = wire::Read<uint64_t>(blob, 0);
+        EXPECT_EQ(RandomkCompressor::IndicesOf(blob),
+                  DenseFisherYates(seed, c.KeptCount(n), n))
+            << "ratio " << ratio << " n " << n << " step " << step;
+      }
+    }
+  }
+}
+
+TEST(Randomk, AdditivePayloadRejectsTruncatedBlob) {
+  // The payload feeds an in-place all-reduce: a blob too short for its k
+  // values must fail loudly instead of letting the reduction run past it.
+  RandomkCompressor c(0.25, 1);
+  auto blob = c.Encode(RandomGrad(64, 7));
+  blob.pop_back();
+  EXPECT_THROW((void)c.AdditivePayload(blob), Error);
 }
 
 // ----------------------------------------------------------------- QSGD ---

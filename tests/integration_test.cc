@@ -10,12 +10,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "compress/blockwise_sign.h"
-#include "compress/fp16.h"
-#include "compress/qsgd.h"
-#include "compress/sign.h"
-#include "compress/terngrad.h"
-#include "compress/topk.h"
+#include "compress/registry.h"
 #include "core/trainer.h"
 #include "models/model_zoo.h"
 #include "sim/pipeline.h"
@@ -86,21 +81,9 @@ struct RoundTripCase {
 
 class CompressorGridTest : public ::testing::TestWithParam<RoundTripCase> {};
 
-std::unique_ptr<compress::Compressor> MakeByName(const std::string& name) {
-  if (name == "sign") return std::make_unique<compress::SignCompressor>();
-  if (name == "blockwise")
-    return std::make_unique<compress::BlockwiseSignCompressor>(64);
-  if (name == "topk") return std::make_unique<compress::TopkCompressor>(0.1);
-  if (name == "qsgd") return std::make_unique<compress::QsgdCompressor>(16);
-  if (name == "terngrad")
-    return std::make_unique<compress::TernGradCompressor>();
-  if (name == "fp16") return std::make_unique<compress::Fp16Compressor>();
-  ACPS_CHECK_MSG(false, "unknown compressor " << name);
-}
-
 TEST_P(CompressorGridTest, EncodedSizeExactAndDecodeSafe) {
   const auto& c = GetParam();
-  auto compressor = MakeByName(c.name);
+  auto compressor = compress::MakeCompressor(c.name);
   Rng rng(c.numel + 17);
   std::vector<float> g(c.numel);
   for (auto& v : g) v = rng.normal();
@@ -117,7 +100,8 @@ TEST_P(CompressorGridTest, EncodedSizeExactAndDecodeSafe) {
 std::vector<RoundTripCase> GridCases() {
   std::vector<RoundTripCase> cases;
   for (const char* name :
-       {"sign", "blockwise", "topk", "qsgd", "terngrad", "fp16"}) {
+       {"sign", "blockwise-sign:64", "topk:0.1", "qsgd:16", "terngrad",
+        "fp16"}) {
     for (size_t n : {1u, 63u, 64u, 65u, 1000u}) cases.push_back({name, n});
   }
   return cases;
@@ -169,10 +153,12 @@ TEST(Integration, SsgdMatchesSingleWorkerWithBigBatch) {
   comm::Transport g2_transport;
 
   comm::Session g2(g2_transport, "", 2);
-  const auto r2 = core::TrainDistributed(g2, two, core::MakeSsgdFactory());
+  const auto r2 =
+      core::TrainDistributed(g2, two, core::MakeAggregatorFactory("ssgd"));
   comm::Transport g1_transport;
   comm::Session g1(g1_transport, "", 1);
-  const auto r1 = core::TrainDistributed(g1, one, core::MakeSsgdFactory());
+  const auto r1 =
+      core::TrainDistributed(g1, one, core::MakeAggregatorFactory("ssgd"));
   // Different batch composition (shuffling) => only statistical agreement.
   EXPECT_NEAR(r2.final_test_acc, r1.final_test_acc, 0.25);
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "compress/registry.h"
+#include "core/aggregators.h"
 #include "core/policy.h"
 #include "dnn/checkpoint.h"
 #include "dnn/mini_models.h"
@@ -179,11 +180,25 @@ TEST(Registry, ParsesParameters) {
   EXPECT_EQ(block->name(), "blockwise-sign");
 }
 
+// One grammar: every spec below is rejected by the compressor factory and
+// by the aggregator factory alike, before any parameter conversion.
 TEST(Registry, RejectsBadSpecs) {
-  EXPECT_THROW((void)compress::MakeCompressor("unknown"), Error);
-  EXPECT_THROW((void)compress::MakeCompressor("topk:abc"), Error);
-  EXPECT_THROW((void)compress::MakeCompressor("sign:3"), Error);
-  EXPECT_THROW((void)compress::MakeCompressor("topk:0"), Error);
+  for (const char* spec : {
+           "unknown", "", ":0.1", "topk:abc", "topk:", "topk:0", "topk:-0.1",
+           "topk:1.5", "topk:nan", "topk:inf", "topk: 0.1", "topk:+0.1",
+           "topk:0x1p-3", "topk:0.1:2", "randomk:0", "randomk:2",
+           "blockwise-sign:-1", "blockwise-sign:0", "blockwise-sign:1.5",
+           "blockwise-sign:1e300", "qsgd:1e10", "qsgd:16.9", "qsgd:0",
+           "qsgd:128", "sign:3", "sign:", "terngrad:1", "fp16:1", "ssgd:1",
+           "powersgd:0", "powersgd:2.5", "acpsgd:-4", "acpsgd:1e10"}) {
+    EXPECT_THROW((void)compress::MakeCompressor(spec), Error) << spec;
+    EXPECT_THROW((void)core::MakeAggregatorFactory(spec), Error) << spec;
+  }
+  // Valid method specs that are not one-shot compressors.
+  for (const char* spec : {"ssgd", "powersgd:2", "acpsgd"}) {
+    EXPECT_THROW((void)compress::MakeCompressor(spec), Error) << spec;
+    EXPECT_NO_THROW((void)core::MakeAggregatorFactory(spec)) << spec;
+  }
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST(Stress, MixedCollectivesInterleaved) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Stress, RandomkAggregatorAdditiveAllReducePath) {
+TEST(Stress, RandomkAdditiveAllReducePath) {
   // The additive property end to end: workers hold different gradients,
   // the result must equal the mean restricted to the shared coordinates.
   const int p = 4;
@@ -127,9 +127,10 @@ TEST(Stress, RandomkAggregatorAdditiveAllReducePath) {
     }
     mean.scale_(1.0f / p);
 
-    core::RandomkAggregator agg(/*ratio=*/0.3, /*error_feedback=*/false);
+    // One step: the EF residual is still zero.
+    auto agg = core::MakeAggregatorFactory("randomk:0.3")(comm.rank(), p);
     std::vector<dnn::Param*> params{&w};
-    agg.Aggregate(params, comm);
+    agg->Aggregate(params, comm);
 
     // Every nonzero output coordinate must equal the mean gradient there;
     // roughly 30% of coordinates are kept.
@@ -146,7 +147,7 @@ TEST(Stress, RandomkAggregatorAdditiveAllReducePath) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Stress, RandomkAggregatorWithErrorFeedbackConverges) {
+TEST(Stress, RandomkWithErrorFeedbackConverges) {
   // With EF, repeated aggregation of the same gradients averages to the
   // true mean even though each step keeps only 20% of coordinates.
   const int p = 2;
@@ -154,7 +155,7 @@ TEST(Stress, RandomkAggregatorWithErrorFeedbackConverges) {
   comm::Session group(group_transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
-    core::RandomkAggregator agg(0.2, /*error_feedback=*/true);
+    auto agg = core::MakeAggregatorFactory("randomk:0.2")(comm.rank(), p);
     Tensor mean({8, 8});
     for (int r = 0; r < p; ++r) {
       Tensor g({8, 8});
@@ -175,7 +176,7 @@ TEST(Stress, RandomkAggregatorWithErrorFeedbackConverges) {
       Rng wr(70 + static_cast<uint64_t>(comm.rank()));
       wr.fill_normal(w.grad);
       std::vector<dnn::Param*> params{&w};
-      agg.Aggregate(params, comm);
+      agg->Aggregate(params, comm);
       sum.add_(w.grad);
     }
     sum.scale_(1.0f / steps);

@@ -2,9 +2,8 @@
 // acps-expect: no-new-threadgroup
 //
 // Known-bad twin for no-new-threadgroup: fresh code reaching for the
-// deprecated single-tenant shim instead of opening a comm::Session on a
-// comm::Transport. Only the shim's own definition and its bitwise-identity
-// legacy suite are exempt.
+// removed single-tenant shim instead of opening a comm::Session on a
+// comm::Transport.
 namespace acps {
 
 void FixtureSpin() {

@@ -22,10 +22,10 @@
 //                          value (Options::Validate returns the problem as
 //                          a string); a discarded call is a fault check
 //                          that cannot fail.
-//   no-new-threadgroup     comm::ThreadGroup is a deprecated shim over
-//                          Transport+Session; new code goes through
-//                          Session/TrainingService directly. Only the shim
-//                          itself and its tests are exempt (layers.conf).
+//   no-new-threadgroup     the single-tenant comm::ThreadGroup shim over
+//                          Transport+Session was removed; code goes through
+//                          Session/TrainingService directly, and the rule
+//                          keeps the shim from coming back.
 //
 // String literals are blanked in the stripped `code` text, so the metric and
 // env rules locate call sites in `code` (comments can't fake a consumer) and
@@ -199,10 +199,9 @@ void ContractPass(const Corpus& corpus, const Config& cfg,
       if (!reported_lines.insert(lineno).second) continue;
       out.push_back(
           {f.path, lineno, "no-new-threadgroup",
-           "comm::ThreadGroup is a deprecated shim kept for the legacy "
-           "single-job API; new code talks to comm::Session / "
-           "core::TrainingService over a shared Transport (see "
-           "DESIGN.md \"Multi-tenancy\")"});
+           "comm::ThreadGroup (the removed single-job shim) must not come "
+           "back; code talks to comm::Session / core::TrainingService "
+           "over a shared Transport (see DESIGN.md \"Multi-tenancy\")"});
     }
   }
 }
